@@ -2,8 +2,8 @@
 //! scheduling testbed swept over policy × spot-fraction ×
 //! provisioned-concurrency on a bursty four-tenant trace with deadlines.
 //! Flags: `--seed N`, `--full` (more jobs).
-//! Per-run JSON metrics land in `target/fleet_policies/` (or
-//! `LML_FLEET_POLICIES_OUT`); same seed → byte-identical files.
+//! Per-run JSON metrics land in `target/fleet_policies/`; same seed →
+//! byte-identical files.
 fn main() {
     let h = lml_bench::Harness::from_args();
     lml_bench::run_experiment("fleet_policies", &h);

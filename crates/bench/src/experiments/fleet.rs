@@ -1,668 +1,531 @@
-//! The fleet-scale experiment: the FaaS/IaaS trade-off under multi-tenant
-//! load, swept over arrival rate × scheduler policy.
+//! The fleet sweeps: the paper's FaaS/IaaS trade-off under multi-tenant
+//! load, written as one table of [`Scenario`]s.
 //!
-//! This is the first experiment beyond the paper's own figures: it measures
-//! the *fleet-level* consequences of the paper's single-job findings —
-//! warm pools amortizing cold starts, reserved clusters queueing, and the
-//! hybrid router buying tail latency with Lambda only when it pays.
+//! These go beyond the paper's own figures: they measure the *fleet-level*
+//! consequences of its single-job findings — warm pools amortizing cold
+//! starts, reserved clusters queueing, spot markets preempting, and
+//! schedulers that buy tail latency with Lambda only when it pays.
 //!
-//! Besides the printed table, every (rate, policy) run writes its full
-//! metrics rollup as one JSON file under `target/fleet_scale/` (override
-//! with `LML_FLEET_OUT`), so future changes can be tracked as a perf/cost
-//! trajectory across commits.
+//! A scenario is plain data: a name (also its output directory under
+//! `target/` and its experiment name), a table title and headers, a
+//! function that lays out its grid of [`Cell`]s, and a function that
+//! formats one row from a cell's [`FleetMetrics`]. [`run`] is the one
+//! runner: it fans the cells across [`sweep::parallel_map`] and reduces
+//! them in grid order, so the printed table and every per-cell JSON file
+//! (schema `lml-fleet/metrics/v1`) are byte-identical for a given seed at
+//! any worker count. [`emit`] writes those files; tests compare [`run`]'s
+//! output in memory.
 
 use crate::sweep;
 use crate::tablefmt::{f, table};
 use crate::Harness;
 use lml_fleet::{
-    simulate, simulate_observed, AllFaas, AllIaas, Analytic, ArrivalProcess, CheckpointPolicy,
-    CostAware, DeadlineAware, Estimator, FairShare, FleetConfig, FleetMetrics, Hybrid, JobClass,
-    JobMix, Online, Route, Scheduler, TenantSpec, ThroughputProbe, Trace,
+    simulate, AllFaas, AllIaas, Analytic, ArrivalProcess, CheckpointPolicy, CostAware,
+    DeadlineAware, Estimator, FairShare, FleetConfig, FleetMetrics, Hybrid, JobClass, JobMix,
+    Online, Route, Scheduler, TenantSpec, Trace,
 };
 use lml_sim::SimTime;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
-/// Write one sweep-cell JSON file, downgrading I/O failure to a warning:
-/// the printed table is the experiment's primary output and a read-only
-/// `target/` must not abort the sweep.
-fn write_json_or_warn(file: &Path, json: &str) {
-    if let Err(e) = std::fs::write(file, json) {
-        eprintln!("warning: could not write {}: {e}", file.display());
-    }
+/// Builds a cell's scheduler from the cell's own config, so cost-aware
+/// routing prices the same substrates the simulator charges. Every cell
+/// gets a fresh scheduler: no routing state leaks between runs.
+pub type SchedulerFactory = Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Send>;
+
+/// One simulation of a sweep grid.
+pub struct Cell {
+    /// The arrivals; cells of one grid row share one generated trace.
+    pub trace: Arc<Trace>,
+    pub cfg: FleetConfig,
+    pub scheduler: SchedulerFactory,
+    /// The row's leading columns, naming the cell's grid coordinates.
+    pub labels: Vec<String>,
+    /// File name of the cell's metrics JSON.
+    pub file: String,
 }
 
-/// A policy row of the sweep: display name + fresh-scheduler factory (each
-/// cell gets its own scheduler so no routing state leaks between runs; the
-/// factory sees the fleet config so cost-aware routing prices the same
-/// substrates the simulator charges). `Sync` because the parallel sweep
-/// engine calls the factories from worker threads.
-type PolicyRow = (
-    &'static str,
-    Box<dyn Fn(&FleetConfig) -> Box<dyn Scheduler> + Sync>,
-);
-
-/// Where the per-run JSON files go.
-fn out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_scale"))
+/// One fleet sweep, as data.
+pub struct Scenario {
+    /// Experiment name, output directory under `target/`, and the prefix
+    /// of the binary that runs it.
+    pub name: &'static str,
+    /// Table title; `{jobs}` stands for the trace length.
+    pub title: &'static str,
+    pub headers: &'static [&'static str],
+    /// Jobs per trace in fast and in `--full` mode.
+    pub jobs: (usize, usize),
+    /// The grid, in row order, for the harness and the jobs per trace.
+    pub cells: fn(&Harness, usize) -> Vec<Cell>,
+    /// The row's metric columns, after the cell's labels.
+    pub row: fn(&FleetMetrics) -> Vec<String>,
 }
 
-/// Where the throughput baseline goes. Deliberately independent of
-/// `LML_FLEET_OUT`: the probe JSON carries wall-clock numbers, so it must
-/// never land in a directory that gets byte-diffed across runs.
-fn probe_out_file() -> PathBuf {
-    std::env::var_os("LML_FLEET_PROBE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_scale"))
-        .join("throughput_baseline.json")
+/// Every fleet sweep, in the order `all_experiments` runs them.
+pub static SCENARIOS: [Scenario; 5] = [SCALE, POLICIES, RECOVERY, ESTIMATOR, RISK];
+
+/// The scenario named `name`, if it is a fleet sweep.
+pub fn scenario(name: &str) -> Option<&'static Scenario> {
+    SCENARIOS.iter().find(|s| s.name == name)
 }
 
-/// One (arrival rate, policy) cell of the sweep. The trace is generated
-/// once per rate by the caller (all policies of a rate replay the same
-/// arrivals); the shared probe rides along so the grid doubles as the
-/// simulator's throughput baseline.
-fn run_cell(
-    trace: &Trace,
-    seed: u64,
-    make_sched: &dyn Fn(&FleetConfig) -> Box<dyn Scheduler>,
-    probe: &mut ThroughputProbe,
-) -> FleetMetrics {
-    let cfg = FleetConfig::default();
-    let mut sched = make_sched(&cfg);
-    simulate_observed(trace, &cfg, sched.as_mut(), seed, probe)
+/// Run every cell of `s` across `workers` threads and reduce in grid
+/// order: the printed table plus `(file name, metrics JSON)` per cell.
+/// Pure — no file I/O — and identical at any worker count.
+pub fn run(s: &Scenario, h: &Harness, workers: usize) -> (String, Vec<(String, String)>) {
+    let jobs = if h.fast { s.jobs.0 } else { s.jobs.1 };
+    let cells = (s.cells)(h, jobs);
+    let results = sweep::parallel_map(cells, workers, |_, cell| {
+        let mut sched = (cell.scheduler)(&cell.cfg);
+        let m = simulate(&cell.trace, &cell.cfg, sched.as_mut(), h.seed);
+        let mut row = cell.labels;
+        row.extend((s.row)(&m));
+        (row, (cell.file, m.to_json()))
+    });
+    let (rows, files): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let title = s.title.replace("{jobs}", &jobs.to_string());
+    (table(&title, s.headers, &rows), files)
 }
 
-/// `fleet_scale`: arrival-rate × policy sweep with JSON emission.
-pub fn fleet_scale(h: &Harness) -> String {
-    let n_jobs = if h.fast { 400 } else { 2_000 };
-    let rates: &[f64] = if h.fast {
-        &[0.05, 0.2, 0.8]
-    } else {
-        &[0.05, 0.2, 0.8, 2.0]
-    };
-    let policies: Vec<PolicyRow> = vec![
-        (
-            "all-faas",
-            Box::new(|_: &FleetConfig| Box::new(AllFaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "all-iaas",
-            Box::new(|_: &FleetConfig| Box::new(AllIaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "cost-aware",
-            Box::new(|cfg: &FleetConfig| {
-                Box::new(CostAware::for_config(cfg)) as Box<dyn Scheduler>
-            }),
-        ),
-    ];
-
-    let dir = out_dir();
+/// Run `s` on every core, write its JSON files into `target/<name>/`, and
+/// print the table. A write failure only warns: the table is the primary
+/// output and a read-only `target/` must not abort the sweep.
+pub fn emit(s: &Scenario, h: &Harness) -> String {
+    let (out, files) = run(s, h, sweep::workers());
+    let dir = Path::new("target").join(s.name);
     let _ = std::fs::create_dir_all(&dir);
-    let seed = h.seed;
-    // Workload setup happens before the probe starts its wall clock: every
-    // policy of a rate replays the same arrivals, so each trace is built
-    // exactly once and shared across the row.
-    let traces: Vec<Trace> = rates
-        .iter()
-        .map(|&rate| {
-            Trace::generate(
-                ArrivalProcess::Poisson { rate },
-                &JobMix::default_mix(),
-                n_jobs,
-                seed,
-            )
-        })
-        .collect();
-    // The master probe outlives the whole grid: its wall clock spans the
-    // sweep, and per-cell probes merged into it in grid order make the
-    // events/sec over the sweep the committed baseline the parallel-engine
-    // work is scored against.
-    let n_workers = sweep::workers();
-    // Artifact emission rides a spool thread: cell metrics go over a
-    // channel and are rendered to JSON and written while the reduction
-    // keeps folding probes. Spawned before the probe starts its wall
-    // clock — thread creation is setup cost, not sweep cost; the join
-    // below still guarantees every file is on disk before returning.
-    let (spool, writer) = {
-        let (tx, rx) = std::sync::mpsc::channel::<(PathBuf, FleetMetrics)>();
-        let writer = std::thread::spawn(move || {
-            for (path, m) in rx {
-                write_json_or_warn(&path, &m.to_json());
-            }
-        });
-        (tx, writer)
-    };
-    let mut cells = Vec::new();
-    for (&rate, trace) in rates.iter().zip(&traces) {
-        for (name, make) in &policies {
-            cells.push((rate, trace, *name, make.as_ref()));
+    for (file, json) in &files {
+        let path = dir.join(file);
+        if let Err(e) = std::fs::write(&path, json) {
+            eprintln!("warning: could not write {}: {e}", path.display());
         }
     }
-    // One untimed warm-up pass over the grid before the wall clock
-    // starts: first-touch page faults, allocator arena growth, and
-    // branch-predictor training are one-time process costs, not sweep
-    // throughput, and the committed baseline tracks the latter (the
-    // regression CI gate compares steady-state numbers, so cold-start
-    // jitter would only add noise). The timed pass below replays
-    // identical work — same cells, same seed — against a warm process.
-    for &(_, trace, _, make) in &cells {
-        let mut warm = ThroughputProbe::new();
-        std::hint::black_box(run_cell(trace, seed, make, &mut warm));
-    }
-    let mut probe = ThroughputProbe::new();
-    probe.set_workers(n_workers);
-    // Allocation accounting brackets exactly the measured sweep: counting
-    // is enabled here (workload setup above stays invisible) and the
-    // delta is stamped into the probe next to the wall-clock numbers.
-    let alloc_before = {
-        crate::alloc::enable();
-        crate::alloc::snapshot()
-    };
-    let results = sweep::parallel_map(cells, n_workers, |_, (rate, trace, name, make)| {
-        let mut cell_probe = ThroughputProbe::new();
-        let m = run_cell(trace, seed, make, &mut cell_probe);
-        (rate, name, m, cell_probe)
-    });
-    // Only the probe fold happens inside the measured window: row
-    // formatting, file naming, and artifact emission are presentation,
-    // not sweep, so they wait until the wall clock has been snapshotted.
-    let mut kept = Vec::with_capacity(results.len());
-    for (rate, name, m, cell_probe) in results {
-        probe.merge(cell_probe);
-        kept.push((rate, name, m));
-    }
-    let alloc_after = crate::alloc::snapshot();
-    crate::alloc::disable();
-    probe.set_alloc(
-        alloc_after.0 - alloc_before.0,
-        alloc_after.1 - alloc_before.1,
-    );
-    // Snapshot the probe as soon as the last cell is folded in: the wall
-    // clock is scoring the sweep, not the ASCII rendering of its table.
-    let probe_json = probe.to_json();
-    let mut rows = Vec::new();
-    for (rate, name, m) in kept {
-        let row = vec![
-            format!("{rate}"),
-            name.to_string(),
+    println!("{out}");
+    println!("per-run JSON written to {}", dir.display());
+    out
+}
+
+/// A scheduler builder given the spot fraction (ignored by spot-blind
+/// schedulers).
+type SchedulerRow = (
+    &'static str,
+    bool,
+    fn(&FleetConfig, f64) -> Box<dyn Scheduler>,
+);
+
+/// The five built-in schedulers: name, whether they take a spot
+/// fraction, and the builder.
+const SCHEDULERS: [SchedulerRow; 5] = [
+    ("all-faas", false, |_, _| Box::new(AllFaas)),
+    ("all-iaas", false, |_, _| Box::new(AllIaas)),
+    ("cost-aware", false, |cfg, _| {
+        Box::new(CostAware::for_config(cfg))
+    }),
+    ("deadline-aware", true, |cfg, frac| {
+        Box::new(DeadlineAware::for_config(cfg).with_spot_fraction(frac))
+    }),
+    ("fair-share", true, |cfg, frac| {
+        Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
+    }),
+];
+
+fn pct(x: f64) -> String {
+    format!("{:.0}%", x * 100.0)
+}
+
+/// `fleet_scale`: arrival rate × the three spot-blind policies over
+/// Poisson fleets; every policy of a rate replays the same arrivals.
+const SCALE: Scenario = Scenario {
+    name: "fleet_scale",
+    title: "fleet_scale: {jobs}-job Poisson fleets, arrival rate x policy",
+    headers: &[
+        "rate/s", "policy", "p50 s", "p95 s", "p99 s", "q-p99 s", "cost", "warm", "util", "on-faas",
+    ],
+    jobs: (400, 2_000),
+    cells: |h, jobs| {
+        let seed = h.seed;
+        let rates: &[f64] = if h.fast {
+            &[0.05, 0.2, 0.8]
+        } else {
+            &[0.05, 0.2, 0.8, 2.0]
+        };
+        let mut cells = Vec::new();
+        for &rate in rates {
+            let trace = Arc::new(Trace::generate(
+                ArrivalProcess::Poisson { rate },
+                &JobMix::default_mix(),
+                jobs,
+                seed,
+            ));
+            for &(name, takes_spot, make) in &SCHEDULERS {
+                if takes_spot {
+                    continue;
+                }
+                cells.push(Cell {
+                    trace: Arc::clone(&trace),
+                    cfg: FleetConfig::default(),
+                    scheduler: Box::new(move |cfg| make(cfg, 0.0)),
+                    labels: vec![format!("{rate}"), name.to_string()],
+                    file: format!("fleet-seed{seed}-rate{rate}-{name}.json"),
+                });
+            }
+        }
+        cells
+    },
+    row: |m| {
+        vec![
             f(m.latency.p50),
             f(m.latency.p95),
             f(m.latency.p99),
             f(m.queue.p99),
             format!("{}", m.total_cost()),
-            format!("{:.0}%", m.warm_hit_rate * 100.0),
-            format!("{:.0}%", m.iaas_utilization * 100.0),
+            pct(m.warm_hit_rate),
+            pct(m.iaas_utilization),
             format!("{}", m.jobs_on_faas),
-        ];
-        rows.push(row);
-        let file = format!("fleet-seed{seed}-rate{rate}-{name}.json");
-        let _ = spool.send((dir.join(file), m));
-    }
-    drop(spool);
-    let out = table(
-        &format!("fleet_scale: {n_jobs}-job Poisson fleets, arrival rate x policy"),
-        &[
-            "rate/s", "policy", "p50 s", "p95 s", "p99 s", "q-p99 s", "cost", "warm", "util",
-            "on-faas",
-        ],
-        &rows,
-    );
-    let probe_file = probe_out_file();
-    if let Some(parent) = probe_file.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    write_json_or_warn(&probe_file, &probe_json);
-    writer.join().expect("artifact spool thread");
-    println!("{out}");
-    println!("{}", probe.summary());
-    println!("per-run JSON written to {}", dir.display());
-    out
-}
+        ]
+    },
+};
 
-/// Where the per-run `fleet_policies` JSON files go.
-fn policies_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_POLICIES_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_policies"))
-}
-
-/// A `fleet_policies` policy row: display name, whether it honours the
-/// spot-fraction knob, and a factory seeing (config, spot fraction).
-/// `Sync` because the parallel sweep engine calls it from worker threads.
-type PolicyKnobRow = (
-    &'static str,
-    bool,
-    Box<dyn Fn(&FleetConfig, f64) -> Box<dyn Scheduler> + Sync>,
-);
-
-/// `fleet_policies`: the multi-tenant scheduling testbed sweep — policy ×
-/// spot-fraction × provisioned-concurrency over a bursty four-tenant
-/// trace where half the jobs carry deadlines. Emits one byte-stable JSON
-/// file per cell (schema `lml-fleet/metrics/v1`) for run-over-run
-/// diffing; the CI determinism step runs this twice and compares bytes.
-pub fn fleet_policies(h: &Harness) -> String {
-    let n_jobs = if h.fast { 300 } else { 1_200 };
-    let spec = TenantSpec {
-        n_tenants: 4,
-        deadline_frac: 0.5,
-        deadline_slack: 2.5,
-    };
-    let process = ArrivalProcess::Burst {
-        base_rate: 0.1,
-        burst_rate: 1.5,
-        period: 600.0,
-        duty: 0.25,
-    };
-    let trace = Trace::generate_multi(process, &JobMix::default_mix(), &spec, n_jobs, h.seed);
-
-    let policies: Vec<PolicyKnobRow> = vec![
-        (
-            "all-faas",
-            false,
-            Box::new(|_: &FleetConfig, _| Box::new(AllFaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "all-iaas",
-            false,
-            Box::new(|_: &FleetConfig, _| Box::new(AllIaas) as Box<dyn Scheduler>),
-        ),
-        (
-            "cost-aware",
-            false,
-            Box::new(|cfg: &FleetConfig, _| {
-                Box::new(CostAware::for_config(cfg)) as Box<dyn Scheduler>
-            }),
-        ),
-        (
-            "deadline-aware",
-            true,
-            Box::new(|cfg: &FleetConfig, frac| {
-                Box::new(DeadlineAware::for_config(cfg).with_spot_fraction(frac))
-                    as Box<dyn Scheduler>
-            }),
-        ),
-        (
-            "fair-share",
-            true,
-            Box::new(|cfg: &FleetConfig, frac| {
-                Box::new(FairShare::for_config(cfg).with_spot_fraction(frac)) as Box<dyn Scheduler>
-            }),
-        ),
-    ];
-    let spot_fracs = [0.0, 0.6];
-    let provisioned = [0usize, 64];
-
-    let dir = policies_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &pc in &provisioned {
-        for &frac in &spot_fracs {
-            for (name, takes_spot, make) in &policies {
-                if frac > 0.0 && !takes_spot {
-                    // The knob is a no-op for this policy; skip the
-                    // duplicate cell rather than re-emitting identical
-                    // JSON under a different name.
-                    continue;
+/// `fleet_policies`: the multi-tenant scheduling testbed — policy ×
+/// spot fraction × provisioned concurrency over a bursty four-tenant
+/// trace where half the jobs carry deadlines.
+const POLICIES: Scenario = Scenario {
+    name: "fleet_policies",
+    title: "fleet_policies: {jobs}-job bursty 4-tenant fleet (50% deadlines), \
+            policy x spot-fraction x provisioned-concurrency",
+    headers: &[
+        "policy",
+        "spot",
+        "pc",
+        "p50 s",
+        "p99 s",
+        "dl-hit",
+        "fair",
+        "preempt",
+        "cost",
+        "faas/iaas/spot",
+    ],
+    jobs: (300, 1_200),
+    cells: |h, jobs| {
+        let seed = h.seed;
+        let spec = TenantSpec {
+            n_tenants: 4,
+            deadline_frac: 0.5,
+            deadline_slack: 2.5,
+        };
+        let process = ArrivalProcess::Burst {
+            base_rate: 0.1,
+            burst_rate: 1.5,
+            period: 600.0,
+            duty: 0.25,
+        };
+        let trace = Arc::new(Trace::generate_multi(
+            process,
+            &JobMix::default_mix(),
+            &spec,
+            jobs,
+            seed,
+        ));
+        let provisioned = [0usize, 64];
+        let spot_fracs = [0.0, 0.6];
+        let mut cells = Vec::new();
+        for pc in provisioned {
+            for frac in spot_fracs {
+                for &(name, takes_spot, make) in &SCHEDULERS {
+                    if frac > 0.0 && !takes_spot {
+                        // The knob is a no-op for this policy: skip the
+                        // duplicate cell rather than re-emitting identical
+                        // JSON under a different name.
+                        continue;
+                    }
+                    let mut cfg = FleetConfig::default();
+                    cfg.faas.provisioned_concurrency = pc;
+                    cells.push(Cell {
+                        trace: Arc::clone(&trace),
+                        cfg,
+                        scheduler: Box::new(move |cfg| make(cfg, frac)),
+                        labels: vec![name.to_string(), format!("{frac}"), format!("{pc}")],
+                        file: format!("fleet-policies-seed{seed}-{name}-spot{frac}-pc{pc}.json"),
+                    });
                 }
-                cells.push((pc, frac, *name, make.as_ref()));
             }
         }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (pc, frac, name, make)| {
-        let mut cfg = FleetConfig::default();
-        cfg.faas.provisioned_concurrency = pc;
-        let mut sched = make(&cfg, frac);
-        let m = simulate(trace, &cfg, sched.as_mut(), seed);
-        let file = format!("fleet-policies-seed{seed}-{name}-spot{frac}-pc{pc}.json");
-        let row = vec![
-            name.to_string(),
-            format!("{frac}"),
-            format!("{pc}"),
+        cells
+    },
+    row: |m| {
+        vec![
             f(m.latency.p50),
             f(m.latency.p99),
-            format!("{:.0}%", m.deadline_hit_rate() * 100.0),
+            pct(m.deadline_hit_rate()),
             format!("{:.2}", m.fairness),
             format!("{}", m.preemptions),
             format!("{}", m.total_cost()),
             format!("{}/{}/{}", m.jobs_on_faas, m.jobs_on_iaas, m.jobs_on_spot),
+        ]
+    },
+};
+
+/// `fleet_recovery`: checkpoint policy × spot fraction × preemption rate
+/// on a spot-heavy fair-share fleet. Epoch-granular checkpoints (priced
+/// through the S3 profile) collapse lost work, replace from-scratch
+/// restarts with resumes, and shrink the bill with them.
+const RECOVERY: Scenario = Scenario {
+    name: "fleet_recovery",
+    title: "fleet_recovery: {jobs}-job spot-heavy fleet, \
+            checkpoint policy x spot fraction x preemption rate",
+    headers: &[
+        "policy", "spot", "mttp s", "p99 s", "lost s", "resumes", "preempt", "ckpts", "cost",
+    ],
+    jobs: (150, 600),
+    cells: |h, jobs| {
+        let seed = h.seed;
+        let trace = Arc::new(Trace::generate(
+            ArrivalProcess::Poisson { rate: 0.4 },
+            &JobMix::default_mix(),
+            jobs,
+            seed,
+        ));
+        let policies = [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every(1),
+            CheckpointPolicy::every(4),
+            CheckpointPolicy::Adaptive,
         ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_policies: {n_jobs}-job bursty 4-tenant fleet (50% deadlines), \
-             policy x spot-fraction x provisioned-concurrency"
-        ),
-        &[
-            "policy",
-            "spot",
-            "pc",
-            "p50 s",
-            "p99 s",
-            "dl-hit",
-            "fair",
-            "preempt",
-            "cost",
-            "faas/iaas/spot",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
-}
-
-/// Where the per-run `fleet_recovery` JSON files go.
-fn recovery_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_RECOVERY_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_recovery"))
-}
-
-/// `fleet_recovery`: the checkpoint-aware spot-recovery sweep — checkpoint
-/// policy × spot fraction × preemption rate on a spot-heavy fair-share
-/// fleet. Shows what epoch-granular checkpoints (priced through the S3
-/// profile) buy back from the market: lost-work-seconds collapse, resumes
-/// replace from-scratch restarts, and the bill shrinks with them. Emits
-/// one byte-stable JSON file per cell (schema `lml-fleet/metrics/v1`);
-/// the CI determinism step runs this twice and compares bytes.
-pub fn fleet_recovery(h: &Harness) -> String {
-    let n_jobs = if h.fast { 150 } else { 600 };
-    let trace = Trace::generate(
-        ArrivalProcess::Poisson { rate: 0.4 },
-        &JobMix::default_mix(),
-        n_jobs,
-        h.seed,
-    );
-    let policies = [
-        CheckpointPolicy::Never,
-        CheckpointPolicy::every(1),
-        CheckpointPolicy::every(4),
-        CheckpointPolicy::Adaptive,
-    ];
-    let spot_fracs = [0.6, 1.0];
-    let mttps = [900.0, 3_600.0];
-
-    let dir = recovery_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &mttp in &mttps {
-        for &frac in &spot_fracs {
-            for &policy in &policies {
-                cells.push((mttp, frac, policy));
+        let spot_fracs = [0.6, 1.0];
+        let mttps = [900.0, 3_600.0];
+        let mut cells = Vec::new();
+        for mttp in mttps {
+            for frac in spot_fracs {
+                for policy in policies {
+                    let mut cfg = FleetConfig::default();
+                    cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
+                    cfg.checkpoint = policy;
+                    cells.push(Cell {
+                        trace: Arc::clone(&trace),
+                        cfg,
+                        scheduler: Box::new(move |cfg| {
+                            Box::new(FairShare::for_config(cfg).with_spot_fraction(frac))
+                        }),
+                        labels: vec![policy.name(), format!("{frac}"), format!("{mttp:.0}")],
+                        file: format!(
+                            "fleet-recovery-seed{seed}-{}-spot{frac}-mttp{mttp}.json",
+                            policy.name()
+                        ),
+                    });
+                }
             }
         }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (mttp, frac, policy)| {
-        let mut cfg = FleetConfig::default();
-        cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
-        cfg.checkpoint = policy;
-        let mut sched = FairShare::for_config(&cfg).with_spot_fraction(frac);
-        let m = simulate(trace, &cfg, &mut sched, seed);
-        let file = format!(
-            "fleet-recovery-seed{seed}-{}-spot{frac}-mttp{mttp}.json",
-            policy.name()
-        );
-        let row = vec![
-            policy.name(),
-            format!("{frac}"),
-            format!("{mttp:.0}"),
+        cells
+    },
+    row: |m| {
+        vec![
             f(m.latency.p99),
             format!("{:.0}", m.lost_work.as_secs()),
             format!("{}", m.resumes),
             format!("{}", m.preemptions),
             format!("{}", m.checkpoint_writes),
             format!("{}", m.total_cost()),
-        ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_recovery: {n_jobs}-job spot-heavy fleet, \
-             checkpoint policy x spot fraction x preemption rate"
-        ),
-        &[
-            "policy", "spot", "mttp s", "p99 s", "lost s", "resumes", "preempt", "ckpts", "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
-}
+        ]
+    },
+};
 
-/// Where the per-run `fleet_estimator` JSON files go.
-fn estimator_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_ESTIMATOR_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_estimator"))
-}
-
-/// Named estimator factory for the sweep.
+/// An estimator builder for `fleet_estimator`.
 type EstimatorRow = (&'static str, fn(&FleetConfig) -> Box<dyn Estimator>);
 
-/// Named scheduler factory: builds the policy around a given estimator.
+/// A scheduler built around a given estimator.
 type SchedulerEstRow = (
     &'static str,
     fn(&FleetConfig, Box<dyn Estimator>) -> Box<dyn Scheduler>,
 );
 
-/// `fleet_estimator`: the prediction-layer sweep — estimator (analytic /
-/// online / hybrid) × scheduler × zoo calibration (epoch scale 1 = the
-/// prior is right, 2 = every job really needs twice the epochs the §5.3
-/// prior assumes). On the calibrated zoo all three estimators route
-/// identically (the online/hybrid models are seeded from the analytic
-/// prior); on the miscalibrated zoo the closed feedback loop earns its
-/// keep: runtime MAPE collapses and `deadline-aware + hybrid` beats the
-/// blind prior on deadline-hit rate. Emits one byte-stable JSON file per
-/// cell (schema `lml-fleet/metrics/v1`); the CI determinism step runs
-/// this twice and compares bytes.
-pub fn fleet_estimator(h: &Harness) -> String {
-    let n_jobs = if h.fast { 300 } else { 1_200 };
-    // The regime where the prediction matters: a fixed reserved pool at
-    // ~80% utilization (busy but not visibly slammed — marginal pool
-    // waits are where a 2×-optimistic prior sends deadline jobs onto a
-    // pool that just misses, while a learned model escapes to Lambda),
-    // convex classes with deadlines at 2.7× their nominal runtime.
-    let spec = TenantSpec {
-        n_tenants: 3,
-        deadline_frac: 0.6,
-        deadline_slack: 2.7,
-    };
-    let mix = JobMix::new(vec![
-        (lml_fleet::JobClass::LrHiggs, 0.75),
-        (lml_fleet::JobClass::KmHiggs, 0.25),
-    ]);
-    let trace = Trace::generate_multi(
-        ArrivalProcess::Poisson { rate: 0.03 },
-        &mix,
-        &spec,
-        n_jobs,
-        h.seed,
-    );
-    let estimators: [EstimatorRow; 3] = [
-        ("analytic", |cfg| Box::new(Analytic::for_config(cfg))),
-        ("online", |cfg| Box::new(Online::for_config(cfg))),
-        ("hybrid", |cfg| Box::new(Hybrid::for_config(cfg))),
-    ];
-    let schedulers: [SchedulerEstRow; 3] = [
-        ("cost-aware", |cfg, est| {
-            Box::new(CostAware::for_config(cfg).with_estimator(est))
-        }),
-        ("deadline-aware", |cfg, est| {
-            Box::new(DeadlineAware::for_config(cfg).with_estimator(est))
-        }),
-        ("fair-share", |cfg, est| {
-            Box::new(FairShare::for_config(cfg).with_estimator(est))
-        }),
-    ];
-    let scales = [1.0, 2.0];
-
-    let dir = estimator_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &scale in &scales {
-        for &(sched_name, make_sched) in &schedulers {
-            for &(est_name, make_est) in &estimators {
-                cells.push((scale, sched_name, make_sched, est_name, make_est));
+/// `fleet_estimator`: estimator (analytic / online / hybrid) × scheduler
+/// × zoo calibration (epoch scale 1 = the §5.3 prior is right, 2 = every
+/// job needs twice the epochs it assumes). On the calibrated zoo all
+/// three route identically (online and hybrid are seeded from the
+/// analytic prior); on the miscalibrated one the closed feedback loop
+/// collapses runtime MAPE and `deadline-aware + hybrid` beats the blind
+/// prior on deadline-hit rate.
+const ESTIMATOR: Scenario = Scenario {
+    name: "fleet_estimator",
+    title: "fleet_estimator: {jobs}-job 3-tenant fleet (60% deadlines), \
+            zoo calibration x scheduler x estimator",
+    headers: &[
+        "scale",
+        "policy",
+        "estimator",
+        "p50 s",
+        "p99 s",
+        "dl-hit",
+        "t-mape",
+        "c-mape",
+        "cost",
+    ],
+    jobs: (300, 1_200),
+    cells: |h, jobs| {
+        let seed = h.seed;
+        // The regime where the prediction matters: a fixed reserved pool
+        // at ~80% utilization (busy but not visibly slammed — marginal
+        // pool waits are where a 2×-optimistic prior sends deadline jobs
+        // onto a pool that just misses, while a learned model escapes to
+        // Lambda), convex classes with deadlines at 2.7× their nominal
+        // runtime.
+        let spec = TenantSpec {
+            n_tenants: 3,
+            deadline_frac: 0.6,
+            deadline_slack: 2.7,
+        };
+        let mix = JobMix::new(vec![(JobClass::LrHiggs, 0.75), (JobClass::KmHiggs, 0.25)]);
+        let trace = Arc::new(Trace::generate_multi(
+            ArrivalProcess::Poisson { rate: 0.03 },
+            &mix,
+            &spec,
+            jobs,
+            seed,
+        ));
+        let estimators: [EstimatorRow; 3] = [
+            ("analytic", |cfg| Box::new(Analytic::for_config(cfg))),
+            ("online", |cfg| Box::new(Online::for_config(cfg))),
+            ("hybrid", |cfg| Box::new(Hybrid::for_config(cfg))),
+        ];
+        let schedulers: [SchedulerEstRow; 3] = [
+            ("cost-aware", |cfg, est| {
+                Box::new(CostAware::for_config(cfg).with_estimator(est))
+            }),
+            ("deadline-aware", |cfg, est| {
+                Box::new(DeadlineAware::for_config(cfg).with_estimator(est))
+            }),
+            ("fair-share", |cfg, est| {
+                Box::new(FairShare::for_config(cfg).with_estimator(est))
+            }),
+        ];
+        let scales = [1.0, 2.0];
+        let mut cells = Vec::new();
+        for scale in scales {
+            for (sched_name, make_sched) in schedulers {
+                for (est_name, make_est) in estimators {
+                    let mut cfg = FleetConfig {
+                        epoch_scale: scale,
+                        ..FleetConfig::default()
+                    };
+                    // A fixed pool: no autoscaling to paper over the pool
+                    // waits the blind prior underestimates.
+                    cfg.iaas.min_instances = 60;
+                    cfg.iaas.max_instances = 60;
+                    cells.push(Cell {
+                        trace: Arc::clone(&trace),
+                        cfg,
+                        scheduler: Box::new(move |cfg| make_sched(cfg, make_est(cfg))),
+                        labels: vec![
+                            format!("{scale}"),
+                            sched_name.to_string(),
+                            est_name.to_string(),
+                        ],
+                        file: format!(
+                            "fleet-estimator-seed{seed}-{sched_name}-{est_name}-scale{scale}.json"
+                        ),
+                    });
+                }
             }
         }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(
-        cells,
-        sweep::workers(),
-        |_, (scale, sched_name, make_sched, est_name, make_est)| {
-            let mut cfg = FleetConfig {
-                epoch_scale: scale,
-                ..FleetConfig::default()
-            };
-            // A fixed pool: no autoscaling to paper over the pool
-            // waits the blind prior underestimates.
-            cfg.iaas.min_instances = 60;
-            cfg.iaas.max_instances = 60;
-            let mut sched = make_sched(&cfg, make_est(&cfg));
-            let m = simulate(trace, &cfg, sched.as_mut(), seed);
-            let file =
-                format!("fleet-estimator-seed{seed}-{sched_name}-{est_name}-scale{scale}.json");
-            let row = vec![
-                format!("{scale}"),
-                sched_name.to_string(),
-                est_name.to_string(),
-                f(m.latency.p50),
-                f(m.latency.p99),
-                format!("{:.0}%", m.deadline_hit_rate() * 100.0),
-                format!("{:.3}", m.runtime_mape),
-                format!("{:.3}", m.cost_mape),
-                format!("{}", m.total_cost()),
-            ];
-            (file, m.to_json(), row)
-        },
-    );
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_estimator: {n_jobs}-job 3-tenant fleet (60% deadlines), \
-             zoo calibration x scheduler x estimator"
-        ),
-        &[
-            "scale",
-            "policy",
-            "estimator",
-            "p50 s",
-            "p99 s",
-            "dl-hit",
-            "t-mape",
-            "c-mape",
-            "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
-}
+        cells
+    },
+    row: |m| {
+        vec![
+            f(m.latency.p50),
+            f(m.latency.p99),
+            pct(m.deadline_hit_rate()),
+            format!("{:.3}", m.runtime_mape),
+            format!("{:.3}", m.cost_mape),
+            format!("{}", m.total_cost()),
+        ]
+    },
+};
 
-/// Where the per-run `fleet_risk` JSON files go.
-fn risk_out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_RISK_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_risk"))
-}
-
-/// `fleet_risk`: the risk-aware spot-admission sweep — admission variant
-/// (learned preemption posterior vs the frozen static-mean config) ×
-/// configured-prior error (the scheduler is told the per-instance mean
-/// time to preempt is right / 4× too optimistic) × true market hostility.
+/// `fleet_risk`: admission variant (learned preemption posterior vs the
+/// frozen static-mean config) × configured-prior error (the mean time to
+/// preempt is right / 4× too optimistic) × true market hostility.
 ///
-/// Deadline jobs are spot-eligible under checkpoint recovery with slack
-/// sitting exactly where the admission call matters: a 4×-optimistic
-/// config makes the static-mean variant keep shipping deadline jobs onto
-/// a market that eats them (reboot after reboot burns the laxity), while
-/// the learned posterior watches the same preemption feed and prices them
-/// back onto firm capacity within the first few reclaims. With a correct
-/// config the two are identical — risk-awareness costs nothing when the
-/// config is honest. Emits one byte-stable JSON file per cell (schema
-/// `lml-fleet/metrics/v1`); the CI determinism step runs this twice and
-/// compares bytes.
-pub fn fleet_risk(h: &Harness) -> String {
-    let n_jobs = if h.fast { 200 } else { 600 };
-    // One convex class and two tenants: the preemption posterior is keyed
-    // per (tenant, class), so a narrow zoo makes the learning visible
-    // within one trace. Slack 6× nominal is the deliberate knife edge —
-    // rich enough that a benign-believing admission takes the discount,
-    // tight enough that a hostile market's reboots blow it.
-    let spec = TenantSpec {
-        n_tenants: 2,
-        deadline_frac: 0.5,
-        deadline_slack: 6.0,
-    };
-    let trace = Trace::generate_multi(
-        ArrivalProcess::Poisson { rate: 0.05 },
-        &JobMix::only(JobClass::LrHiggs),
-        &spec,
-        n_jobs,
-        h.seed,
-    );
-    let admissions: [(&str, bool); 2] = [("learned", false), ("static", true)];
-    let prior_errs = [1.0, 4.0];
-    let mttps = [600.0, 1_800.0];
-
-    let dir = risk_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut cells = Vec::new();
-    for &mttp in &mttps {
-        for &err in &prior_errs {
-            for &(name, frozen) in &admissions {
-                cells.push((mttp, err, name, frozen));
+/// Deadline jobs are spot-eligible under checkpoint recovery, with slack
+/// exactly where the admission call matters: a 4×-optimistic config makes
+/// the static variant keep shipping deadline jobs onto a market whose
+/// reboots burn their laxity, while the learned posterior watches the
+/// same preemption feed and prices them back onto firm capacity within a
+/// few reclaims. With a correct config the two are byte-identical.
+const RISK: Scenario = Scenario {
+    name: "fleet_risk",
+    title: "fleet_risk: {jobs}-job spot-eligible deadline fleet, \
+            true preemption rate x configured-prior error x admission",
+    headers: &[
+        "mttp s",
+        "prior",
+        "admission",
+        "dl-hit",
+        "dl-spot",
+        "preempt",
+        "lost s",
+        "p99 s",
+        "p95-cov",
+        "cost",
+    ],
+    jobs: (200, 600),
+    cells: |h, jobs| {
+        let seed = h.seed;
+        // One convex class and two tenants: the preemption posterior is
+        // keyed per (tenant, class), so a narrow zoo makes the learning
+        // visible within one trace. Slack 6× nominal is the knife edge —
+        // rich enough that a benign-believing admission takes the
+        // discount, tight enough that a hostile market's reboots blow it.
+        let spec = TenantSpec {
+            n_tenants: 2,
+            deadline_frac: 0.5,
+            deadline_slack: 6.0,
+        };
+        let trace = Arc::new(Trace::generate_multi(
+            ArrivalProcess::Poisson { rate: 0.05 },
+            &JobMix::only(JobClass::LrHiggs),
+            &spec,
+            jobs,
+            seed,
+        ));
+        let admissions = [("learned", false), ("static", true)];
+        let prior_errs = [1.0, 4.0];
+        let mttps = [600.0, 1_800.0];
+        let mut cells = Vec::new();
+        for mttp in mttps {
+            for err in prior_errs {
+                for (name, frozen) in admissions {
+                    let mut cfg = FleetConfig::default();
+                    cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
+                    cfg.checkpoint = CheckpointPolicy::every(1);
+                    cells.push(Cell {
+                        trace: Arc::clone(&trace),
+                        cfg,
+                        scheduler: Box::new(move |cfg| {
+                            let sched = DeadlineAware::for_config(cfg)
+                                .with_spot_fraction(1.0)
+                                .with_spot_recovery(cfg.checkpoint)
+                                .with_preemption_prior(SimTime::secs(mttp * err));
+                            if frozen {
+                                Box::new(sched.with_static_preemption())
+                            } else {
+                                Box::new(sched)
+                            }
+                        }),
+                        labels: vec![format!("{mttp:.0}"), format!("{err}"), name.to_string()],
+                        file: format!("fleet-risk-seed{seed}-{name}-err{err}-mttp{mttp}.json"),
+                    });
+                }
             }
         }
-    }
-    let seed = h.seed;
-    let trace = &trace;
-    let results = sweep::parallel_map(cells, sweep::workers(), |_, (mttp, err, name, frozen)| {
-        let mut cfg = FleetConfig::default();
-        cfg.spot.mean_time_to_preempt = SimTime::secs(mttp);
-        cfg.checkpoint = CheckpointPolicy::every(1);
-        let mut sched = DeadlineAware::for_config(&cfg)
-            .with_spot_fraction(1.0)
-            .with_spot_recovery(cfg.checkpoint)
-            .with_preemption_prior(SimTime::secs(mttp * err));
-        if frozen {
-            sched = sched.with_static_preemption();
-        }
-        let m = simulate(trace, &cfg, &mut sched, seed);
-        let file = format!("fleet-risk-seed{seed}-{name}-err{err}-mttp{mttp}.json");
+        cells
+    },
+    row: |m| {
         let dl_on_spot = m
             .records
             .iter()
             .filter(|r| r.deadline.is_some() && r.route == Route::Spot)
             .count();
-        let row = vec![
-            format!("{mttp:.0}"),
-            format!("{err}"),
-            name.to_string(),
+        vec![
             format!("{:.1}%", m.deadline_hit_rate() * 100.0),
             format!("{dl_on_spot}"),
             format!("{}", m.preemptions),
@@ -670,136 +533,26 @@ pub fn fleet_risk(h: &Harness) -> String {
             f(m.latency.p99),
             format!("{:.2}", m.eta_coverage()),
             format!("{}", m.total_cost()),
-        ];
-        (file, m.to_json(), row)
-    });
-    let mut rows = Vec::new();
-    for (file, json, row) in results {
-        write_json_or_warn(&dir.join(file), &json);
-        rows.push(row);
-    }
-    let out = table(
-        &format!(
-            "fleet_risk: {n_jobs}-job spot-eligible deadline fleet, \
-             true preemption rate x configured-prior error x admission"
-        ),
-        &[
-            "mttp s",
-            "prior",
-            "admission",
-            "dl-hit",
-            "dl-spot",
-            "preempt",
-            "lost s",
-            "p99 s",
-            "p95-cov",
-            "cost",
-        ],
-        &rows,
-    );
-    println!("{out}");
-    println!("per-run JSON written to {}", dir.display());
-    out
-}
+        ]
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes tests that point the same sweep's output env var at
-    /// different directories; without it a concurrent re-run could write
-    /// into a sibling test's snapshot mid-read.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn env_guard() -> std::sync::MutexGuard<'static, ()> {
-        ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    /// Fast-mode harness at `seed`.
+    fn fast(seed: u64) -> Harness {
+        Harness { seed, fast: true }
     }
 
-    #[test]
-    fn parallel_sweep_equals_serial_at_1_2_and_8_workers() {
-        let _guard = env_guard();
-        let h = Harness {
-            seed: 17,
-            fast: true,
-        };
-        let snapshot = |dir: &Path| -> std::collections::BTreeMap<String, String> {
-            std::fs::read_dir(dir)
-                .expect("sweep dir written")
-                .map(|e| {
-                    let e = e.unwrap();
-                    (
-                        e.file_name().into_string().unwrap(),
-                        std::fs::read_to_string(e.path()).unwrap(),
-                    )
-                })
-                .collect()
-        };
-        type SweepFn = fn(&Harness) -> String;
-        let sweeps: [(&str, &str, SweepFn); 2] = [
-            ("fleet_policies", "LML_FLEET_POLICIES_OUT", fleet_policies),
-            ("fleet_risk", "LML_FLEET_RISK_OUT", fleet_risk),
-        ];
-        for (name, var, run) in sweeps {
-            let base = std::env::temp_dir().join(format!("lml_par_eq_serial_{name}"));
-            let _ = std::fs::remove_dir_all(&base);
-            let serial_dir = base.join("w1");
-            std::env::set_var(var, &serial_dir);
-            std::env::set_var("LML_SWEEP_THREADS", "1");
-            let serial_table = run(&h);
-            let serial = snapshot(&serial_dir);
-            assert!(!serial.is_empty(), "{name}: serial run wrote JSON");
-            for w in [2usize, 8] {
-                let dir = base.join(format!("w{w}"));
-                std::env::set_var(var, &dir);
-                std::env::set_var("LML_SWEEP_THREADS", w.to_string());
-                let table = run(&h);
-                assert_eq!(table, serial_table, "{name}: table at {w} workers");
-                assert_eq!(snapshot(&dir), serial, "{name}: JSON bytes at {w} workers");
-            }
-            std::env::remove_var(var);
-            std::env::remove_var("LML_SWEEP_THREADS");
-            let _ = std::fs::remove_dir_all(&base);
-        }
-    }
-
-    #[test]
-    fn fleet_scale_runs_and_emits_json() {
-        let tmp = std::env::temp_dir().join("lml_fleet_scale_test");
-        std::env::set_var("LML_FLEET_OUT", &tmp);
-        let h = Harness {
-            seed: 9,
-            fast: true,
-        };
-        let out = fleet_scale(&h);
-        std::env::remove_var("LML_FLEET_OUT");
-        assert!(out.contains("cost-aware"));
-        let one = tmp.join("fleet-seed9-rate0.2-all-faas.json");
-        let text = std::fs::read_to_string(&one).expect("JSON file written");
-        assert!(text.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
-
-    #[test]
-    fn fleet_policies_runs_and_emits_byte_stable_json() {
-        let _guard = env_guard();
-        let tmp = std::env::temp_dir().join("lml_fleet_policies_test");
-        std::env::set_var("LML_FLEET_POLICIES_OUT", &tmp);
-        let h = Harness {
-            seed: 11,
-            fast: true,
-        };
-        let out = fleet_policies(&h);
-        assert!(out.contains("deadline-aware") && out.contains("fair-share"));
-        let one = tmp.join("fleet-policies-seed11-fair-share-spot0.6-pc64.json");
-        let first = std::fs::read_to_string(&one).expect("JSON file written");
-        assert!(first.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        assert!(first.contains(r#""per_tenant":["#));
-        // Re-running the sweep with the same seed rewrites identical bytes.
-        fleet_policies(&h);
-        let second = std::fs::read_to_string(&one).unwrap();
-        std::env::remove_var("LML_FLEET_POLICIES_OUT");
-        assert_eq!(first, second, "same seed, same bytes");
-        let _ = std::fs::remove_dir_all(&tmp);
+    /// The JSON of the cell written to `file`.
+    fn json<'a>(files: &'a [(String, String)], file: &str) -> &'a str {
+        files
+            .iter()
+            .find(|(name, _)| name == file)
+            .map(|(_, json)| json.as_str())
+            .expect("a cell writes the file")
     }
 
     /// Pull one f64 field out of a flat JSON metrics file.
@@ -815,76 +568,90 @@ mod tests {
     }
 
     #[test]
-    fn fleet_estimator_hybrid_beats_blind_prior_on_miscalibrated_zoo() {
-        let tmp = std::env::temp_dir().join("lml_fleet_estimator_test");
-        std::env::set_var("LML_FLEET_ESTIMATOR_OUT", &tmp);
-        let h = Harness {
-            seed: 21,
-            fast: true,
-        };
-        let out = fleet_estimator(&h);
-        std::env::remove_var("LML_FLEET_ESTIMATOR_OUT");
+    fn every_scenario_is_byte_identical_at_any_worker_count() {
+        let h = fast(17);
+        for s in &SCENARIOS {
+            let (table, files) = run(s, &h, 1);
+            assert!(table.contains(s.name), "{}: titled table", s.name);
+            assert!(!files.is_empty(), "{}: cells emit JSON", s.name);
+            for (file, json) in &files {
+                assert!(
+                    json.starts_with(r#"{"schema":"lml-fleet/metrics/v1""#),
+                    "{}: {file} carries the metrics schema",
+                    s.name
+                );
+            }
+            let workers = [2, 8, 1];
+            for w in workers {
+                let (t, fs) = run(s, &h, w);
+                assert_eq!(t, table, "{}: table at {w} workers", s.name);
+                assert_eq!(fs, files, "{}: JSON bytes at {w} workers", s.name);
+            }
+        }
+    }
+
+    #[test]
+    fn scenario_names_resolve_and_are_experiments() {
+        for s in &SCENARIOS {
+            assert!(crate::ALL_EXPERIMENTS.contains(&s.name), "{}", s.name);
+            // Names are unique: lookup finds this very entry.
+            assert!(scenario(s.name).is_some_and(|t| std::ptr::eq(t, s)));
+        }
+        assert!(scenario("fig6_datasets").is_none());
+    }
+
+    #[test]
+    fn policies_emit_per_tenant_metrics() {
+        let (out, files) = run(&POLICIES, &fast(11), 1);
+        assert!(out.contains("deadline-aware") && out.contains("fair-share"));
+        let one = json(&files, "fleet-policies-seed11-fair-share-spot0.6-pc64.json");
+        assert!(one.contains(r#""per_tenant":["#));
+    }
+
+    #[test]
+    fn estimator_hybrid_beats_blind_prior_on_miscalibrated_zoo() {
+        let (out, files) = run(&ESTIMATOR, &fast(21), 2);
         assert!(out.contains("hybrid") && out.contains("analytic"));
-        let read = |sched: &str, est: &str, scale: &str| {
-            std::fs::read_to_string(tmp.join(format!(
-                "fleet-estimator-seed21-{sched}-{est}-scale{scale}.json"
-            )))
-            .expect("JSON file written")
+        let read = |sched: &str, est: &str, scale: &str, field: &str| {
+            let file = format!("fleet-estimator-seed21-{sched}-{est}-scale{scale}.json");
+            json_f64(json(&files, &file), field)
         };
-        // The acceptance criterion: on the miscalibrated zoo the learned
-        // posterior strictly beats the blind prior on deadline-hit rate…
-        let blind = json_f64(
-            &read("deadline-aware", "analytic", "2"),
-            "deadline_hit_rate",
-        );
-        let hybrid = json_f64(&read("deadline-aware", "hybrid", "2"), "deadline_hit_rate");
+        // On the miscalibrated zoo the learned posterior strictly beats
+        // the blind prior on deadline-hit rate…
+        let blind = read("deadline-aware", "analytic", "2", "deadline_hit_rate");
+        let hybrid = read("deadline-aware", "hybrid", "2", "deadline_hit_rate");
         assert!(
             hybrid > blind,
             "hybrid {hybrid} must strictly beat analytic {blind} at scale 2"
         );
         // …and cuts the runtime prediction error.
-        let blind_mape = json_f64(&read("deadline-aware", "analytic", "2"), "runtime_mape");
-        let hybrid_mape = json_f64(&read("deadline-aware", "hybrid", "2"), "runtime_mape");
+        let blind_mape = read("deadline-aware", "analytic", "2", "runtime_mape");
+        let hybrid_mape = read("deadline-aware", "hybrid", "2", "runtime_mape");
         assert!(
             hybrid_mape < blind_mape * 0.5,
             "{hybrid_mape} vs {blind_mape}"
         );
         // On the calibrated zoo the prior is right and nothing regresses.
-        let a1 = json_f64(
-            &read("deadline-aware", "analytic", "1"),
-            "deadline_hit_rate",
-        );
-        let h1 = json_f64(&read("deadline-aware", "hybrid", "1"), "deadline_hit_rate");
+        let a1 = read("deadline-aware", "analytic", "1", "deadline_hit_rate");
+        let h1 = read("deadline-aware", "hybrid", "1", "deadline_hit_rate");
         assert!(h1 >= a1, "calibrated zoo: {h1} vs {a1}");
-        assert!(
-            read("cost-aware", "online", "1").starts_with(r#"{"schema":"lml-fleet/metrics/v1""#)
-        );
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]
-    fn fleet_risk_learned_admission_beats_static_on_wrong_config() {
-        let _guard = env_guard();
-        let tmp = std::env::temp_dir().join("lml_fleet_risk_test");
-        std::env::set_var("LML_FLEET_RISK_OUT", &tmp);
-        let h = Harness {
-            seed: 7,
-            fast: true,
-        };
-        let out = fleet_risk(&h);
-        std::env::remove_var("LML_FLEET_RISK_OUT");
+    fn risk_learned_admission_beats_static_on_wrong_config() {
+        let (out, files) = run(&RISK, &fast(7), 2);
         assert!(out.contains("learned") && out.contains("static"));
-        let read = |adm: &str, err: &str, mttp: &str| {
-            std::fs::read_to_string(
-                tmp.join(format!("fleet-risk-seed7-{adm}-err{err}-mttp{mttp}.json")),
+        let read = |adm: &str, err: &str| {
+            json(
+                &files,
+                &format!("fleet-risk-seed7-{adm}-err{err}-mttp600.json"),
             )
-            .expect("JSON file written")
         };
-        // The acceptance criterion: with the configured mean 4× too
-        // optimistic on the hostile market, the learned posterior strictly
-        // beats the frozen config on deadline-hit rate…
-        let frozen = json_f64(&read("static", "4", "600"), "deadline_hit_rate");
-        let learned = json_f64(&read("learned", "4", "600"), "deadline_hit_rate");
+        // With the configured mean 4× too optimistic on the hostile
+        // market, the learned posterior strictly beats the frozen config
+        // on deadline-hit rate…
+        let frozen = json_f64(read("static", "4"), "deadline_hit_rate");
+        let learned = json_f64(read("learned", "4"), "deadline_hit_rate");
         assert!(
             learned > frozen,
             "learned {learned} must strictly beat static {frozen} on a 4×-wrong config"
@@ -892,50 +659,36 @@ mod tests {
         // …and with a correct config the two admissions are identical —
         // risk-awareness is free when the config is honest.
         assert_eq!(
-            read("learned", "1", "600"),
-            read("static", "1", "600"),
+            read("learned", "1"),
+            read("static", "1"),
             "correct config: byte-identical decisions"
         );
-        assert!(read("static", "4", "600").starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]
-    fn fleet_recovery_runs_and_checkpoints_beat_never() {
-        let tmp = std::env::temp_dir().join("lml_fleet_recovery_test");
-        std::env::set_var("LML_FLEET_RECOVERY_OUT", &tmp);
-        let h = Harness {
-            seed: 13,
-            fast: true,
-        };
-        let out = fleet_recovery(&h);
-        std::env::remove_var("LML_FLEET_RECOVERY_OUT");
+    fn recovery_checkpoints_beat_never_on_lost_work() {
+        let (out, files) = run(&RECOVERY, &fast(13), 2);
         assert!(out.contains("adaptive") && out.contains("every1"));
-        let read = |policy: &str| {
-            std::fs::read_to_string(
-                tmp.join(format!("fleet-recovery-seed13-{policy}-spot1-mttp900.json")),
-            )
-            .expect("JSON file written")
+        let lost = |policy: &str| {
+            let file = format!("fleet-recovery-seed13-{policy}-spot1-mttp900.json");
+            json_f64(json(&files, &file), "lost_work_s")
         };
-        let lost = |json: &str| {
-            let key = "\"lost_work_s\":";
-            let at = json.find(key).expect("lost_work_s present") + key.len();
-            json[at..]
-                .split(',')
-                .next()
-                .unwrap()
-                .parse::<f64>()
-                .unwrap()
-        };
-        let never = lost(&read("never"));
+        let never = lost("never");
         for policy in ["every1", "every4", "adaptive"] {
-            let l = lost(&read(policy));
+            let l = lost(policy);
             assert!(
                 l < never,
                 "{policy} lost {l}s must be strictly below never's {never}s"
             );
         }
-        assert!(read("never").starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
-        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn scale_emits_metrics_schema_for_every_rate_and_policy() {
+        let (out, files) = run(&SCALE, &fast(9), 2);
+        assert!(out.contains("cost-aware"));
+        assert_eq!(files.len(), 9, "3 rates x 3 spot-blind policies");
+        assert!(json(&files, "fleet-seed9-rate0.2-all-faas.json")
+            .starts_with(r#"{"schema":"lml-fleet/metrics/v1""#));
     }
 }

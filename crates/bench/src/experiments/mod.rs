@@ -5,7 +5,8 @@
 //!   COST sanity check).
 //! * [`analytics`] — §5.3's analytical model (Table 6, Figures 13–15).
 //! * [`ablations`] — design-choice sweeps called out in DESIGN.md §4.
-//! * [`fleet`] — the fleet-scale multi-tenant sweep (beyond the paper).
+//! * [`fleet`] — the multi-tenant fleet sweeps, one scenario table (beyond
+//!   the paper).
 
 pub mod ablations;
 pub mod analytics;

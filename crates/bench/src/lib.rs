@@ -9,22 +9,12 @@
 //! the whole suite finishes in minutes; pass `--full` for the paper-scale
 //! worker counts.
 
-// `deny`, not `forbid`: the counting global allocator (src/alloc.rs) is the
-// one sanctioned `unsafe` block in the workspace and carries a scoped allow.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
-pub mod alloc;
 pub mod experiments;
 pub mod registry;
 pub mod sweep;
 pub mod tablefmt;
-
-/// Every bench binary (and this crate's tests) runs under the counting
-/// allocator so `fleet_scale` can stamp allocation deltas into its
-/// throughput baseline. Counting is off unless [`alloc::enable`]d; the
-/// passive overhead is one relaxed atomic load per allocation.
-#[global_allocator]
-static GLOBAL_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// Global experiment settings, parsed from the command line.
 #[derive(Debug, Clone, Copy)]
@@ -88,12 +78,10 @@ pub fn run_experiment(name: &str, h: &Harness) -> String {
         "fig14_fast_hybrid" => analytics::fig14_fast_hybrid(h),
         "fig15_hot_data" => analytics::fig15_hot_data(h),
         "ablations" => ablations::run_all(h),
-        "fleet_scale" => fleet::fleet_scale(h),
-        "fleet_policies" => fleet::fleet_policies(h),
-        "fleet_recovery" => fleet::fleet_recovery(h),
-        "fleet_estimator" => fleet::fleet_estimator(h),
-        "fleet_risk" => fleet::fleet_risk(h),
-        other => panic!("unknown experiment {other:?}"),
+        other => match fleet::scenario(other) {
+            Some(s) => fleet::emit(s, h),
+            None => panic!("unknown experiment {other:?}"),
+        },
     }
 }
 

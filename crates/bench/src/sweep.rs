@@ -15,27 +15,17 @@
 //! * all side effects (file writes, table rows, probe merges) happen in
 //!   the reduction, on the caller's thread, never in the cells.
 //!
-//! The worker count comes from `LML_SWEEP_THREADS` when set (CI pins it to
-//! 1 for the serial half of its serial-vs-parallel determinism diffs),
-//! else from [`std::thread::available_parallelism`]. One worker runs the
-//! cells inline with no threads spawned at all.
+//! Drivers fan out over [`workers`] (the machine's available
+//! parallelism); tests pass explicit worker counts to check that the
+//! output does not depend on them. One worker runs the cells inline with
+//! no threads spawned at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count for sweep fan-out: `LML_SWEEP_THREADS` if set (values < 1
-/// or unparsable fall back to 1), else the machine's available
-/// parallelism.
+/// Worker count for sweep fan-out: the machine's available parallelism.
 pub fn workers() -> usize {
-    match std::env::var("LML_SWEEP_THREADS") {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Run `run(index, item)` over every item, fanning across `n_workers`
@@ -120,18 +110,5 @@ mod tests {
         let out: Vec<u32> = parallel_map(Vec::<u32>::new(), 4, |_, x| x);
         assert!(out.is_empty());
         assert_eq!(parallel_map(vec![7u32], 4, |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn workers_env_override_wins() {
-        // Temporarily pin the env var; the invariant under test elsewhere
-        // (byte-identical output at any worker count) makes cross-test
-        // races on this variable benign.
-        std::env::set_var("LML_SWEEP_THREADS", "3");
-        assert_eq!(workers(), 3);
-        std::env::set_var("LML_SWEEP_THREADS", "junk");
-        assert_eq!(workers(), 1);
-        std::env::remove_var("LML_SWEEP_THREADS");
-        assert!(workers() >= 1);
     }
 }

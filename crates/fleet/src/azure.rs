@@ -8,10 +8,7 @@
 //! ids are hashed deterministically onto the Table 4 job zoo. The adapter
 //! converts rows directly into [`JobRequest`]s (sorted, validated) and
 //! hands them to the replay engine through [`AzureSource`], the adapter's
-//! [`TraceSource`]. The native-text rendering ([`to_trace_text`]) is kept
-//! as a tested compatibility shim — `parse` is asserted equal to the
-//! text round-trip — so an adapted trace still obeys exactly the same
-//! validation and replay guarantees as a hand-written one.
+//! [`TraceSource`].
 //!
 //! Accepted line format (header line and `#` comments are skipped):
 //!
@@ -37,7 +34,7 @@ struct AzureRow {
 }
 
 /// FNV-1a 64-bit hash: stable across platforms and runs, used to map
-/// opaque function ids onto the job zoo (here and in the Google adapter).
+/// opaque trace ids onto the job zoo.
 pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -47,23 +44,26 @@ pub(crate) fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// The job class an Azure function id maps to (deterministic).
-pub fn class_for_function(func: &str) -> JobClass {
-    JobClass::ALL[(fnv1a(func) % JobClass::ALL.len() as u64) as usize]
+/// The job class an opaque trace id maps to (deterministic): an Azure or
+/// OpenDC function name, or a Google job id. All three adapters share
+/// this one FNV-1a spread over the zoo.
+pub fn class_for_function(id: &str) -> JobClass {
+    JobClass::ALL[(fnv1a(id) % JobClass::ALL.len() as u64) as usize]
 }
 
-/// Is this a header line naming the columns? The public traces (and tools
+/// Is this a header line naming the columns? Public traces (and tools
 /// that re-export them) vary the spelling — `end_timestamp_ms`,
-/// `EndTimestampMs`, `End Timestamp (ms)` — so the check normalizes case
-/// and separators on the first field rather than matching one string.
-fn is_header(line: &str) -> bool {
+/// `EndTimestampMs`, `Timestamp [ms]`, `time_us` — so the check
+/// normalizes case and separators on the first field and tests it for
+/// the adapter's column `prefix` rather than matching one string.
+pub(crate) fn is_header(line: &str, prefix: &str) -> bool {
     let first = line.split(',').next().unwrap_or("");
     let normalized: String = first
         .chars()
         .filter(|c| c.is_ascii_alphanumeric())
         .collect::<String>()
         .to_ascii_lowercase();
-    normalized.starts_with("endtimestamp")
+    normalized.starts_with(prefix)
 }
 
 fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
@@ -75,7 +75,7 @@ fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
         }
         // Skip header lines (also mid-file: concatenated shards re-emit
         // them).
-        if is_header(line) {
+        if is_header(line, "endtimestamp") {
             continue;
         }
         let parts: Vec<&str> = line.split(',').map(str::trim).collect();
@@ -119,9 +119,7 @@ fn parse_rows(csv: &str) -> Result<Vec<AzureRow>, String> {
 
 /// Rows sorted and converted: owners become dense tenant ids in order of
 /// first appearance, function ids select job classes via
-/// [`class_for_function`], and ids are assigned in sorted-time order —
-/// the same mapping the text shim renders, without the intermediate
-/// `String`.
+/// [`class_for_function`], and ids are assigned in sorted-time order.
 fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
     let mut rows = parse_rows(csv)?;
     rows.sort_by(|a, b| a.submit_secs.total_cmp(&b.submit_secs));
@@ -149,25 +147,6 @@ fn to_jobs(csv: &str) -> Result<Vec<JobRequest>, String> {
             }
         })
         .collect())
-}
-
-/// Convert Azure-style CSV to the native trace text format (v2).
-/// Compatibility shim: the direct path ([`parse`] / [`source`]) is the
-/// primary route; this rendering is kept byte-stable and tested equal to
-/// it for tools that want the portable text form.
-pub fn to_trace_text(csv: &str) -> Result<String, String> {
-    let mut out =
-        String::from("# lml-fleet trace v2 (azure adapter): submit\tclass\tworkers\ttenant\t-\n");
-    for j in to_jobs(csv)? {
-        out.push_str(&format!(
-            "{:?}\t{}\t{}\t{}\t-\n",
-            j.submit.as_secs(),
-            j.class.name(),
-            j.workers,
-            j.tenant
-        ));
-    }
-    Ok(out)
 }
 
 /// Parse Azure-style CSV straight into a [`Trace`] — rows convert
@@ -223,16 +202,6 @@ mod tests {
         // Tenant ids are dense, starting at 0.
         assert_eq!(tenants, (0..tenants.len() as u32).collect::<Vec<_>>());
         assert!(trace.jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-    }
-
-    #[test]
-    fn adapter_feeds_from_text_and_roundtrips() {
-        // The text shim stays equivalent to the direct path: rendering to
-        // trace text and re-parsing gives exactly the trace `parse` builds.
-        let text = to_trace_text(SAMPLE).unwrap();
-        let trace = Trace::from_text(&text).unwrap();
-        assert_eq!(trace.to_text().lines().count(), text.lines().count());
-        assert_eq!(parse(SAMPLE).unwrap(), trace);
     }
 
     #[test]

@@ -888,8 +888,8 @@ impl ThroughputProbe {
         self.alloc_bytes += other.alloc_bytes;
     }
 
-    /// Stamp heap-allocation totals measured over the probed region (a
-    /// counting-allocator delta; see `lml_bench::alloc`).
+    /// Stamp heap-allocation totals the caller measured over the probed
+    /// region (e.g. a counting global allocator's delta).
     pub fn set_alloc(&mut self, count: u64, bytes: u64) {
         self.alloc_count = count;
         self.alloc_bytes = bytes;

@@ -31,31 +31,17 @@
 //!
 //! A bundled fixture lives under `crates/fleet/data/opendc/`.
 
-use crate::azure::fnv1a;
-use crate::job::{JobClass, JobRequest, TenantId};
+use crate::azure::is_header;
+use crate::job::{JobRequest, TenantId};
 use crate::stream::TraceSource;
 use crate::workload::Trace;
 use lml_sim::SimTime;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
-/// The job class an OpenDC function name maps to (deterministic, same
-/// FNV-1a spread as the Azure and Google adapters).
-pub fn class_for_function(name: &str) -> JobClass {
-    JobClass::ALL[(fnv1a(name) % JobClass::ALL.len() as u64) as usize]
-}
-
-/// Is this a header line? OpenDC spells the first column `Timestamp [ms]`
-/// but exports vary, so normalize the first field like the other adapters.
-fn is_header(line: &str) -> bool {
-    let first = line.split(',').next().unwrap_or("");
-    let normalized: String = first
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    normalized.starts_with("time")
-}
+/// The job class an OpenDC function name maps to (the Azure adapter's
+/// FNV-1a spread).
+pub use crate::azure::class_for_function;
 
 /// One per-function timeline being streamed: the reader plus the one
 /// buffered row the k-way merge peeks at.
@@ -87,7 +73,7 @@ impl<R: BufRead> FunctionStream<R> {
             let lineno = self.lineno;
             self.lineno += 1;
             let row = line.trim();
-            if row.is_empty() || row.starts_with('#') || is_header(row) {
+            if row.is_empty() || row.starts_with('#') || is_header(row, "time") {
                 continue;
             }
             let mut fields = row.split(',').map(str::trim);

@@ -288,6 +288,17 @@ struct OverAllowance {
     eta_q_s: Option<f64>,
 }
 
+impl OverAllowance {
+    /// A refusal no price settles: a tenant no window can afford, or a
+    /// job too wide for the substrate it was routed to.
+    const REJECT: OverAllowance = OverAllowance {
+        reject: true,
+        laxity_s: None,
+        release_s: None,
+        eta_q_s: None,
+    };
+}
+
 /// Constant-size aggregates for the bounded ([`replay_stats`]) path:
 /// every retired job folds in here instead of materializing a record.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1355,6 +1366,21 @@ impl<'a> Fleet<'a> {
             s.predicted = predicted;
             s.route = route;
         }
+        // Width is validated against the *routed* platform only: a job
+        // too wide for one substrate is fine as long as its scheduler
+        // never sends it there. Spot is held to the reserved pool it may
+        // fall back to after `spot.max_retries` preemptions. A job wider
+        // than its substrate can ever run ends `Rejected`.
+        let ceiling = match route {
+            Route::Faas => self.cfg.faas.concurrency_limit,
+            Route::Iaas | Route::Spot => self.cfg.iaas.max_instances,
+        };
+        if job.workers > ceiling {
+            self.step(h, now, JobLifecycle::Rejected);
+            self.record_refusal(h, now, OverAllowance::REJECT, true);
+            self.retire(h);
+            return;
+        }
         if self.obs_on {
             // The audit record names the inputs routing acted on: the
             // snapshotted prediction at the tail the policy prices, the
@@ -1376,40 +1402,18 @@ impl<'a> Fleet<'a> {
                 },
             });
         }
-        // Width is validated against the *routed* platform only: a job
-        // too wide for one substrate is fine as long as its scheduler
-        // never sends it there.
         match route {
             Route::Faas => {
-                assert!(
-                    job.workers <= self.cfg.faas.concurrency_limit,
-                    "job {} routed to FaaS but wider than the account concurrency limit",
-                    job.id
-                );
                 self.faas_queue.push(h);
                 self.faas_queued_workers += job.workers;
                 self.drain_faas(now, sched);
             }
             Route::Iaas => {
-                assert!(
-                    job.workers <= self.cfg.iaas.max_instances,
-                    "job {} routed to IaaS but wider than the autoscaling ceiling",
-                    job.id
-                );
                 self.iaas_queue.push(h);
                 self.iaas_queued_workers += job.workers;
                 self.drain_iaas(now, sched);
             }
-            Route::Spot => {
-                assert!(
-                    job.workers <= self.cfg.iaas.max_instances,
-                    "job {} routed to spot but wider than the reserved pool it may \
-                     fall back to after {} preemptions",
-                    job.id,
-                    self.cfg.spot.max_retries
-                );
-                self.start_spot(h, now);
-            }
+            Route::Spot => self.start_spot(h, now),
         }
     }
 
@@ -1869,12 +1873,7 @@ fn run_replay<S: TraceSource>(
                 let cap = fleet.budgets.get(job.tenant).copied().unwrap_or(0.0);
                 let pricing = match cfg.budget_window {
                     Some(_) if cap > 0.0 => fleet.price_over_allowance(h, now, &*scheduler),
-                    _ => OverAllowance {
-                        reject: true,
-                        laxity_s: None,
-                        release_s: None,
-                        eta_q_s: None,
-                    },
+                    _ => OverAllowance::REJECT,
                 };
                 if pricing.reject {
                     fleet.step(h, now, JobLifecycle::Rejected);

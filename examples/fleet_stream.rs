@@ -18,15 +18,14 @@
 //!    prefix.
 //! 3. **Google adapter determinism.** The bundled cluster-usage fixture
 //!    streams to the same metrics bytes twice; the JSON lands in
-//!    `LML_FLEET_STREAM_OUT` (default `target/fleet_stream/`) so CI can
-//!    diff two independent processes.
+//!    `target/fleet_stream/` so CI can diff two independent processes.
 
 use lambdaml::fleet::{
     replay, replay_stats, simulate, stream, ArrivalProcess, CostAware, FleetConfig,
     GeneratorSource, GoogleSource, JobMix, NullObserver, TenantSpec,
 };
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 const MILLION: usize = 1_000_000;
@@ -47,10 +46,8 @@ fn gen_source(n_jobs: usize) -> GeneratorSource {
 }
 
 fn main() {
-    let out: PathBuf = std::env::var_os("LML_FLEET_STREAM_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_stream"));
-    std::fs::create_dir_all(&out).expect("output dir");
+    let out = Path::new("target/fleet_stream");
+    std::fs::create_dir_all(out).expect("output dir");
     let cfg = FleetConfig::default();
 
     // 1. One million jobs, streamed from the generator: constant memory.
@@ -106,8 +103,7 @@ fn main() {
 
     // 3. The Google cluster-usage adapter streams deterministically: same
     // fixture, same bytes, written out for CI to diff across processes.
-    let fixture =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data/google_sample.csv");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fleet/data/google_sample.csv");
     let open = || {
         GoogleSource::new(BufReader::new(
             std::fs::File::open(&fixture).expect("bundled fixture"),

@@ -17,9 +17,8 @@
 //! * every deferred, rejected, and spot-admitted job has a
 //!   [`Decision`] record naming the prices and ETAs that decided it.
 //!
-//! Two files land in `target/fleet_trace/` (override with
-//! `LML_FLEET_TRACE_OUT`): `trace.json` (schema `lml-fleet/trace/v1`) and
-//! `chrome_trace.json`. Load the latter at <https://ui.perfetto.dev> (or
+//! Two files land in `target/fleet_trace/`: `trace.json` (schema
+//! `lml-fleet/trace/v1`) and `chrome_trace.json`. Load the latter at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`): each tenant is a process, each job a track with
 //! queued/startup/run spans per attempt, decisions and platform events as
 //! instants. Both files are byte-stable across same-seed runs — CI runs
@@ -30,13 +29,7 @@ use lambdaml::fleet::{
     JobMix, RecordingObserver, Route, TenantSpec, ThroughputProbe, Trace,
 };
 use lambdaml::sim::SimTime;
-use std::path::PathBuf;
-
-fn out_dir() -> PathBuf {
-    std::env::var_os("LML_FLEET_TRACE_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/fleet_trace"))
-}
+use std::path::Path;
 
 fn main() {
     let seed = 42;
@@ -170,8 +163,8 @@ fn main() {
     println!("{audited} deferred/rejected/spot admissions carry full decision audits ✓");
 
     // ---- Export -------------------------------------------------------
-    let dir = out_dir();
-    std::fs::create_dir_all(&dir).expect("create trace output dir");
+    let dir = Path::new("target/fleet_trace");
+    std::fs::create_dir_all(dir).expect("create trace output dir");
     let chrome = obs.to_chrome_trace();
     assert!(chrome.starts_with(r#"{"traceEvents":["#));
     std::fs::write(dir.join("trace.json"), obs.to_json()).expect("write trace.json");

@@ -3,8 +3,9 @@
 //! and the cost sanity of the hybrid router.
 
 use lambdaml::fleet::{
-    simulate, AllFaas, AllIaas, ArrivalProcess, CostAware, DeadlineAware, FairShare, FleetConfig,
-    FleetMetrics, JobClass, JobMix, JobRequest, Scheduler, TenantSpec, Trace,
+    replay_stats, simulate, AllFaas, AllIaas, ArrivalProcess, CostAware, DeadlineAware, FairShare,
+    FleetConfig, FleetMetrics, JobClass, JobMix, JobRequest, NullObserver, Scheduler, TenantSpec,
+    TextSource, Trace,
 };
 use lambdaml::sim::SimTime;
 
@@ -307,4 +308,43 @@ fn estimator_calibrated_hybrid_is_sane() {
     let worse = faas.total_cost().as_usd().max(iaas.total_cost().as_usd());
     assert!(hybrid.total_cost().as_usd() <= worse * 1.001);
     assert_eq!(hybrid.n_jobs, 300);
+}
+
+/// A valid trace line can name a job wider than any substrate: one
+/// million workers exceeds both the FaaS concurrency limit and the IaaS
+/// autoscaling ceiling. Every built-in scheduler must refuse it with a
+/// `Rejected` outcome, in memory and streamed, and still run the narrow
+/// job after it.
+#[test]
+fn too_wide_jobs_are_rejected_by_every_scheduler() {
+    let text = "0 lr-higgs 1000000\n10 lr-higgs 10\n";
+    let trace = Trace::from_text(text).expect("valid v1 trace");
+    let cfg = FleetConfig::default();
+    type Make = fn(&FleetConfig) -> Box<dyn Scheduler>;
+    let schedulers: [(&str, Make); 5] = [
+        ("all-faas", |_| Box::new(AllFaas)),
+        ("all-iaas", |_| Box::new(AllIaas)),
+        ("cost-aware", |cfg| Box::new(CostAware::for_config(cfg))),
+        ("deadline-aware", |cfg| {
+            Box::new(DeadlineAware::for_config(cfg))
+        }),
+        ("fair-share", |cfg| Box::new(FairShare::for_config(cfg))),
+    ];
+    for (name, make) in schedulers {
+        let m = simulate(&trace, &cfg, make(&cfg).as_mut(), 3);
+        assert_eq!(m.rejected_jobs, 1, "{name}: simulate rejects the wide job");
+        assert_eq!(m.n_jobs, 2, "{name}");
+        assert!(m.records[0].rejected && !m.records[1].rejected, "{name}");
+        let s = replay_stats(
+            TextSource::new(text.as_bytes()),
+            &cfg,
+            make(&cfg).as_mut(),
+            3,
+            &mut NullObserver,
+        )
+        .expect("valid stream");
+        assert_eq!(s.rejected, 1, "{name}: replay_stats rejects the wide job");
+        assert_eq!(s.completed + s.rejected, s.jobs, "{name}");
+        assert_eq!(s.jobs, 2, "{name}");
+    }
 }
